@@ -405,13 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="run the PL invariant linter over first-party code",
         description=(
-            "Invariant linter (rules PL001-PL014). Per-file syntactic "
-            "rules (PL001-PL010): seed discipline, DP accounting, Freq "
-            "dtype/hypot discipline, picklable shard workers, wall-clock-"
-            "free experiment paths, no deprecated attack shims, atomic "
-            "cache/checkpoint writes, timeout-bounded blocking in the "
-            "serve path, managed shared memory, config-bounded federated "
-            "accumulators. Project-wide dataflow analyses (PL011-PL014, "
+            "Invariant linter (rules PL001-PL015). Per-file syntactic "
+            "rules (PL001-PL005, PL007-PL010, PL015): seed discipline, DP accounting, "
+            "Freq dtype/hypot discipline, picklable shard workers, wall-"
+            "clock-free experiment paths, atomic cache/checkpoint writes, "
+            "timeout-bounded blocking in the serve path, managed shared "
+            "memory, config-bounded federated accumulators, durable I/O "
+            "routed through the VFS. Project-wide dataflow analyses (PL011-PL014, "
             "enabled with --analysis taint,locks,commit or 'all'): "
             "privacy-taint source-to-sink tracking, exception-skippable "
             "budget spends, lock-order/blocking discipline, and commit-"
@@ -647,7 +647,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
     profile = LOAD_PROFILES[args.profile]
     report = run_loadgen_http(args.url, profile, seed=args.seed)
-    from repro.ingest.atomic import atomic_write_text
+    from repro.core.atomic import atomic_write_text
 
     atomic_write_text(args.out, json.dumps(report.as_dict(), indent=2) + "\n")
     print(
@@ -674,7 +674,7 @@ def _cmd_federate(args: argparse.Namespace) -> int:
     from repro.core.errors import ConfigError, ReproError
     from repro.dp.mechanisms import PrivacyParams
     from repro.federated import ClientFaultPlan, FederatedConfig, run_campaign
-    from repro.ingest.atomic import atomic_write_text
+    from repro.core.atomic import atomic_write_text
 
     if args.resume and args.out is None:
         print(
@@ -796,7 +796,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     import json
 
     from repro.core.errors import IngestError
-    from repro.ingest import atomic_write_text, collecting_ingest_reports
+    from repro.core.atomic import atomic_write_text
+    from repro.ingest import collecting_ingest_reports
 
     fmt = args.format
     if fmt == "auto":

@@ -61,6 +61,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.core.atomic import atomic_write_text
 from repro.core.errors import ConfigError
 from repro.core.vfs import DiskFaultPlan, FaultyVFS, SimulatedCrash, install_vfs
 
@@ -316,7 +317,5 @@ def render_report(aggregate: dict[str, Any]) -> str:
 
 def save_report(aggregate: dict[str, Any], path: "Path | str") -> Path:
     """Persist the aggregate report as JSON (atomically, of course)."""
-    from repro.ingest.atomic import atomic_write_text
-
     path = Path(path)
     return atomic_write_text(path, json.dumps(aggregate, indent=2))

@@ -53,6 +53,7 @@ from pathlib import Path
 from typing import IO, Any
 
 from repro.core.errors import ConfigError
+from repro.core.faults import FaultTally, SeededFaultPlan
 from repro.core.rng import derive_rng
 
 __all__ = [
@@ -245,7 +246,7 @@ class DurableVFS:
 
 
 @dataclass(frozen=True)
-class DiskFaultPlan:
+class DiskFaultPlan(SeededFaultPlan):
     """Seeded description of how a disk misbehaves.
 
     Rates are per-eligible-operation probabilities drawn from one
@@ -286,6 +287,9 @@ class DiskFaultPlan:
         exempt); keeps chaos runs from degenerating into pure noise.
     """
 
+    RATES = tuple(f"{kind}_rate" for kind in DISK_FAULT_KINDS)
+    NON_NEGATIVE = ("slow_io_s",)
+
     seed: int = 0
     enospc_rate: float = 0.0
     eio_rate: float = 0.0
@@ -301,19 +305,7 @@ class DiskFaultPlan:
     max_faults: "int | None" = None
 
     def __post_init__(self) -> None:
-        for name in (
-            "enospc_rate",
-            "eio_rate",
-            "torn_write_rate",
-            "fsync_lie_rate",
-            "slow_io_rate",
-            "replace_failure_rate",
-        ):
-            rate = float(getattr(self, name))
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {rate}")
-        if self.slow_io_s < 0:
-            raise ConfigError(f"slow_io_s must be >= 0, got {self.slow_io_s}")
+        super().__post_init__()
         if self.crash_mode not in ("before", "torn"):
             raise ConfigError(
                 f"crash_mode must be 'before' or 'torn', got {self.crash_mode!r}"
@@ -323,17 +315,12 @@ class DiskFaultPlan:
         if self.lie_at_fsync is not None and self.lie_at_fsync < 1:
             raise ConfigError(f"lie_at_fsync is 1-based, got {self.lie_at_fsync}")
 
-    @property
-    def any_random_faults(self) -> bool:
-        return any(
-            getattr(self, f"{kind}_rate") > 0
-            for kind in ("enospc", "eio", "torn_write", "fsync_lie", "slow_io", "replace_failure")
-        )
-
 
 @dataclass
-class FaultCounts:
+class FaultCounts(FaultTally):
     """Tally of what the faulty VFS actually did (for chaos assertions)."""
+
+    BOOKKEEPING = ("n_ops", "n_fsyncs")
 
     by_kind: dict[str, int] = field(default_factory=dict)
     n_ops: int = 0
@@ -341,13 +328,6 @@ class FaultCounts:
 
     def count(self, kind: str) -> None:
         self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.by_kind.values())
-
-    def as_dict(self) -> dict[str, int]:
-        return {"n_ops": self.n_ops, "n_fsyncs": self.n_fsyncs, **self.by_kind}
 
 
 class FaultyVFS(DurableVFS):
@@ -455,10 +435,15 @@ class FaultyVFS(DurableVFS):
         budget = self.plan.max_faults
         return budget is None or self.counts.total < budget
 
-    def _roll(self, rate: float) -> bool:
-        if rate <= 0.0 or not self._budget_left():
+    def _roll(self, kind: str) -> bool:
+        """One independent draw for *kind* (none while its rate is 0)."""
+        rate = (f"{kind}_rate",)
+        if not self.plan.rated(rate) or not self._budget_left():
             return False
-        return bool(self._rng.random() < rate)
+        if self.plan.pick(float(self._rng.random()), rate) is None:
+            return False
+        self.counts.count(kind)
+        return True
 
     def _os_error(self, code: int, op: str, path: Path) -> OSError:
         return OSError(code, f"injected {op} fault", str(path))
@@ -482,24 +467,18 @@ class FaultyVFS(DurableVFS):
                 if self.counts.n_fsyncs == plan.lie_at_fsync:
                     self.counts.count("fsync_lie")
                     raise _FsyncLied()
-            if self._roll(plan.slow_io_rate):
-                self.counts.count("slow_io")
+            if self._roll("slow_io"):
                 time.sleep(plan.slow_io_s)
-            if op in ("open", "write") and self._roll(plan.enospc_rate):
-                self.counts.count("enospc")
+            if op in ("open", "write") and self._roll("enospc"):
                 raise self._os_error(errno_module.ENOSPC, op, path)
-            if op in ("open", "write", "fsync") and self._roll(plan.eio_rate):
-                self.counts.count("eio")
+            if op in ("open", "write", "fsync") and self._roll("eio"):
                 raise self._os_error(errno_module.EIO, op, path)
-            if op == "write" and data is not None and self._roll(plan.torn_write_rate):
-                self.counts.count("torn_write")
+            if op == "write" and data is not None and self._roll("torn_write"):
                 self._tear_write(path, data, crash=False)
                 raise self._os_error(errno_module.EIO, "torn write", path)
-            if op == "fsync" and self._roll(plan.fsync_lie_rate):
-                self.counts.count("fsync_lie")
+            if op == "fsync" and self._roll("fsync_lie"):
                 raise _FsyncLied()
-            if op == "replace" and self._roll(plan.replace_failure_rate):
-                self.counts.count("replace_failure")
+            if op == "replace" and self._roll("replace_failure"):
                 raise self._os_error(errno_module.EIO, "replace", path)
 
     def _tear_write(self, path: Path, data: "str | bytes", crash: bool) -> None:
@@ -568,13 +547,3 @@ def install_vfs(vfs: DurableVFS) -> Iterator[DurableVFS]:
     finally:
         with _install_lock:
             _active_vfs = _DEFAULT_VFS
-
-
-def seeds_from_env(value: "str | None", default: tuple[int, ...] = (0,)) -> tuple[int, ...]:
-    """Parse a whitespace-separated seed list env value (chaos CI knob)."""
-    if value is None or not value.strip():
-        return default
-    try:
-        return tuple(int(tok) for tok in value.split())
-    except ValueError as exc:
-        raise ConfigError(f"bad seed list {value!r}: {exc}") from exc

@@ -19,8 +19,8 @@ import csv
 from collections.abc import Sequence
 from pathlib import Path
 
+from repro.core.atomic import atomic_writer
 from repro.datasets.trajectory import Trajectory
-from repro.ingest.atomic import atomic_writer
 from repro.ingest.loaders import TRAJECTORY_LOG_HEADER, ingest_trajectory_log
 
 __all__ = ["save_trajectory_log", "load_trajectory_log"]

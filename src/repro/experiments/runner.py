@@ -40,11 +40,11 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.atomic import atomic_write_text
 from repro.core.errors import ConfigError
 from repro.experiments.registry import run_experiment
 from repro.experiments.results import ExperimentResult
 from repro.experiments.scale import ExperimentScale
-from repro.ingest.atomic import atomic_write_text
 from repro.ingest.report import collecting_ingest_reports
 from repro.poi.engine import collecting_query_plans, summarize_query_plans
 

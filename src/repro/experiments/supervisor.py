@@ -35,10 +35,9 @@ in its ``provenance``.  The state machine per shard::
     crashed --serial_fallback--> ok/retried       (re-run in the parent)
     checkpoint match -> resumed                   (never launched)
 
-Testing hook: a seeded :class:`WorkerFaultPlan` (same design as
-:class:`repro.lbs.faults.FaultPlan`) makes workers deterministically
-crash (``os._exit``), hang, or raise mid-shard, which the chaos suite
-uses to drive every supervision path.
+Testing hook: a seeded :class:`WorkerFaultPlan` makes workers
+deterministically crash (``os._exit``), hang, or raise mid-shard, which
+the chaos suite uses to drive every supervision path.
 """
 
 # This module IS the sanctioned timing boundary: journal heartbeat
@@ -63,7 +62,7 @@ from multiprocessing import connection as mp_connection
 from pathlib import Path
 
 from repro.core.errors import ConfigError, TransientError
-from repro.core.rng import derive_rng
+from repro.core.faults import KeyedFaultPlan
 from repro.core.vfs import VFSFile, get_vfs
 from repro.experiments.registry import get_experiment
 from repro.experiments.runner import load_checkpoint, write_checkpoint
@@ -84,8 +83,6 @@ _JOURNAL_NAME = "journal.jsonl"
 
 #: Exit code an injected crash dies with (distinguishable from SIGKILL).
 _CRASH_EXIT = 87
-
-_FAULT_FATES = ("crash", "hang", "error", "ok")
 
 
 @dataclass(frozen=True)
@@ -145,21 +142,22 @@ class ShardReport:
 
 
 @dataclass(frozen=True)
-class WorkerFaultPlan:
+class WorkerFaultPlan(KeyedFaultPlan):
     """Deterministic worker-level faults for chaos-testing the supervisor.
 
-    Same design as :class:`repro.lbs.faults.FaultPlan`: declarative
-    rates, one seeded uniform per decision, and the whole fault timeline
-    a pure function of the plan.  The decision stream is derived per
-    ``(seed, shard, attempt)`` — not consumed sequentially — so fates do
-    not depend on scheduling order.
-
-    ``overrides`` pins specific shards to a fate (``"crash"`` —
-    ``os._exit`` mid-shard, ``"hang"`` — sleep ``hang_s``, ``"error"`` —
-    raise, ``"ok"`` — healthy); unlisted shards roll the rates.  Attempts
-    beyond ``max_faults_per_shard`` are always healthy, which is how
-    tests prove deterministic retry success on attempt N+1.
+    Fates are keyed per ``(seed, shard, attempt)``, so they do not depend
+    on scheduling order.  ``overrides`` pins specific shards to a fate
+    (``"crash"`` — ``os._exit`` mid-shard, ``"hang"`` — sleep ``hang_s``,
+    ``"error"`` — raise, ``"ok"`` — healthy); unlisted shards roll the
+    rates.  Attempts beyond ``max_faults_per_shard`` are always healthy,
+    which is how tests prove deterministic retry success on attempt N+1.
     """
+
+    RATES = ("crash_rate", "hang_rate", "error_rate")
+    EXCLUSIVE = (RATES,)
+    NON_NEGATIVE = ("hang_s", "max_faults_per_shard")
+    LABEL = "worker-fault"
+    KEY = ("shard",)
 
     crash_rate: float = 0.0
     hang_rate: float = 0.0
@@ -169,38 +167,9 @@ class WorkerFaultPlan:
     hang_s: float = 3600.0
     overrides: tuple = ()
 
-    def __post_init__(self) -> None:
-        for name in ("crash_rate", "hang_rate", "error_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {rate}")
-        if self.crash_rate + self.hang_rate + self.error_rate > 1.0:
-            raise ConfigError("worker fault rates (crash + hang + error) exceed 1")
-        if self.hang_s < 0:
-            raise ConfigError(f"hang_s must be non-negative, got {self.hang_s}")
-        if self.max_faults_per_shard < 0:
-            raise ConfigError("max_faults_per_shard must be non-negative")
-        for entry in self.overrides:
-            if len(entry) != 2 or entry[1] not in _FAULT_FATES:
-                raise ConfigError(
-                    f"overrides entries must be (shard, fate) with fate in {_FAULT_FATES}"
-                )
-
     def decide(self, shard_value: object, attempt: int) -> "str | None":
         """Fate of this ``(shard, attempt)``: None (healthy) or a fault name."""
-        if attempt > self.max_faults_per_shard:
-            return None
-        for value, fate in self.overrides:
-            if value == shard_value:
-                return None if fate == "ok" else fate
-        u = float(derive_rng(self.seed, "worker-fault", shard_value, attempt).random())
-        if u < self.crash_rate:
-            return "crash"
-        if u < self.crash_rate + self.hang_rate:
-            return "hang"
-        if u < self.crash_rate + self.hang_rate + self.error_rate:
-            return "error"
-        return None
+        return self.decide_keyed((shard_value,), attempt, self.max_faults_per_shard)
 
 
 # --- checkpoint / journal layout ---

@@ -1,10 +1,10 @@
 """Seeded client-level fault injection for the federated chaos suite.
 
-Same design as the PR 1 LBS faults, PR 3 worker faults, and PR 6 serve
-faults: a :class:`ClientFaultPlan` declares rates, every decision is one
-seeded uniform derived per ``(seed, round, client, attempt)`` — never a
+A :class:`ClientFaultPlan` declares rates, every decision is one seeded
+uniform derived per ``(seed, round, client, attempt)`` — never a
 sequentially-consumed stream — and the whole fault timeline is a pure
-function of the plan.  Fault classes and the fate each one drives a
+function of the plan (see "Seeded fault plans" in
+``docs/robustness.md``).  Fault classes and the fate each one drives a
 client toward:
 
 * ``crash`` — the client dies before responding; the supervisor retries
@@ -28,24 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.errors import ConfigError
-from repro.core.rng import derive_rng
+from repro.core.faults import KeyedFaultPlan
 
 __all__ = ["CLIENT_FAULTS", "ClientFaultPlan"]
 
-#: Injectable fault kinds (and ``ok`` for overrides).
-CLIENT_FAULTS = ("crash", "hang", "malformed", "poisoned", "duplicate", "ok")
-
-_RATE_FIELDS = (
-    "crash_rate",
-    "hang_rate",
-    "malformed_rate",
-    "poisoned_rate",
-    "duplicate_rate",
-)
-
 
 @dataclass(frozen=True)
-class ClientFaultPlan:
+class ClientFaultPlan(KeyedFaultPlan):
     """Declarative, deterministic client faults for one campaign.
 
     The five rates are mutually exclusive per draw (one uniform decides),
@@ -54,6 +43,12 @@ class ClientFaultPlan:
     ``max_faults_per_client`` are always healthy, which is how tests
     prove a crashed client deterministically succeeds on retry.
     """
+
+    RATES = ("crash_rate", "hang_rate", "malformed_rate", "poisoned_rate", "duplicate_rate")
+    EXCLUSIVE = (RATES,)
+    NON_NEGATIVE = ("max_faults_per_client",)
+    LABEL = "client-fault"
+    KEY = ("round", "client")
 
     crash_rate: float = 0.0
     hang_rate: float = 0.0
@@ -66,44 +61,16 @@ class ClientFaultPlan:
     overrides: tuple = ()
 
     def __post_init__(self) -> None:
-        for name in _RATE_FIELDS:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {rate}")
-        if sum(getattr(self, name) for name in _RATE_FIELDS) > 1.0 + 1e-12:
-            raise ConfigError("client fault rates exceed 1")
-        if self.max_faults_per_client < 0:
-            raise ConfigError("max_faults_per_client must be non-negative")
+        super().__post_init__()
         if self.poison_factor <= 1.0:
             raise ConfigError(
                 f"poison_factor must exceed 1 (an inflation), got {self.poison_factor}"
             )
-        for entry in self.overrides:
-            if len(entry) != 3 or entry[2] not in CLIENT_FAULTS:
-                raise ConfigError(
-                    "overrides entries must be (round, client, fate) with "
-                    f"fate in {CLIENT_FAULTS}"
-                )
-
-    @property
-    def any_faults(self) -> bool:
-        return any(getattr(self, name) > 0 for name in _RATE_FIELDS) or bool(
-            self.overrides
-        )
 
     def decide(self, round_id: int, client_id: int, attempt: int) -> "str | None":
         """Fate of this ``(round, client, attempt)``: None (healthy) or a fault."""
-        if attempt > self.max_faults_per_client:
-            return None
-        for rnd, client, fate in self.overrides:
-            if rnd == round_id and client == client_id:
-                return None if fate == "ok" else fate
-        u = float(
-            derive_rng(self.seed, "client-fault", round_id, client_id, attempt).random()
-        )
-        edge = 0.0
-        for name in _RATE_FIELDS:
-            edge += getattr(self, name)
-            if u < edge:
-                return name.removesuffix("_rate")
-        return None
+        return self.decide_keyed((round_id, client_id), attempt, self.max_faults_per_client)
+
+
+#: Injectable fault kinds (and ``ok`` for overrides).
+CLIENT_FAULTS = ClientFaultPlan.fates()

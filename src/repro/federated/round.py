@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.atomic import atomic_write_text
 from repro.core.errors import ConfigError
 from repro.core.retention import prune_keep_last
 from repro.core.vfs import get_vfs
@@ -39,7 +40,6 @@ from repro.federated.clients import ClientPopulation
 from repro.federated.config import FederatedConfig
 from repro.federated.faults import ClientFaultPlan
 from repro.federated.merger import AdaptiveGrid, StreamingMerger
-from repro.ingest.atomic import atomic_write_text
 from repro.poi.database import POIDatabase
 
 __all__ = [

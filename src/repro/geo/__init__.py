@@ -13,7 +13,6 @@ from repro.geo.grid_index import GridIndex
 from repro.geo.kdtree import KDTree
 from repro.geo.point import EARTH_RADIUS_M, GeoPoint, Point
 from repro.geo.projection import LocalProjection
-from repro.geo.quadtree import QuadNode, QuadTree
 from repro.geo.region import DiskIntersection
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "DiskIntersection",
     "GridIndex",
     "KDTree",
-    "QuadTree",
-    "QuadNode",
     "euclidean",
     "euclidean_many",
     "pairwise_euclidean",

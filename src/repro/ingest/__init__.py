@@ -35,7 +35,6 @@ from repro.core.errors import (
     SchemaDriftError,
     TruncatedInputError,
 )
-from repro.ingest.atomic import atomic_write_bytes, atomic_write_text, atomic_writer, file_sha256
 from repro.ingest.cache import DatasetCache
 from repro.ingest.faults import CORRUPTION_CLASSES, CorruptionPlan, FileCorruptor
 from repro.ingest.loaders import ingest_osm_xml, ingest_poi_csv, ingest_trajectory_log
@@ -62,11 +61,7 @@ __all__ = [
     "RecordIssue",
     "SchemaDriftError",
     "TruncatedInputError",
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "atomic_writer",
     "collecting_ingest_reports",
-    "file_sha256",
     "ingest_osm_xml",
     "ingest_poi_csv",
     "ingest_trajectory_log",

@@ -31,10 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.atomic import atomic_write_bytes, atomic_write_text, file_sha256
 from repro.core.errors import CacheIntegrityError
 from repro.core.vfs import get_vfs
 from repro.geo.bbox import BBox
-from repro.ingest.atomic import atomic_write_bytes, atomic_write_text, file_sha256
 from repro.poi.database import POIDatabase
 from repro.poi.vocabulary import TypeVocabulary
 

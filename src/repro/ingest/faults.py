@@ -22,9 +22,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.atomic import atomic_write_bytes
 from repro.core.errors import ConfigError
 from repro.core.rng import RngLike, as_generator
-from repro.ingest.atomic import atomic_write_bytes
 
 __all__ = ["CORRUPTION_CLASSES", "CorruptionPlan", "FileCorruptor"]
 

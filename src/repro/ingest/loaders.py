@@ -35,6 +35,7 @@ if TYPE_CHECKING:
 
 import numpy as np
 
+from repro.core.atomic import atomic_write_text, file_sha256
 from repro.core.errors import (
     CoordinateBoundsError,
     DatasetError,
@@ -47,7 +48,6 @@ from repro.core.errors import (
 from repro.geo.bbox import BBox
 from repro.geo.point import GeoPoint
 from repro.geo.projection import LocalProjection
-from repro.ingest.atomic import atomic_write_text, file_sha256
 from repro.ingest.report import POLICIES, IngestReport, RecordIssue, record_ingest_report
 from repro.poi.database import POIDatabase
 from repro.poi.vocabulary import TypeVocabulary

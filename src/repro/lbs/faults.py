@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.clock import Clock
-from repro.core.errors import ConfigError, TimeoutExceeded, TransientError
+from repro.core.errors import TimeoutExceeded, TransientError
+from repro.core.faults import FaultTally, SeededFaultPlan
 from repro.core.rng import as_generator
 from repro.lbs.entities import GeoServiceProvider, POIService
 from repro.lbs.messages import AggregateRelease, GeoQuery, GeoResponse
@@ -43,17 +44,12 @@ __all__ = [
     "FaultyPOIService",
 ]
 
-_RATE_FIELDS = (
-    "transient_error_rate",
-    "timeout_rate",
-    "stale_snapshot_rate",
-    "drop_release_rate",
-    "corrupt_vector_rate",
-)
+_GSP_RATES = ("transient_error_rate", "timeout_rate", "stale_snapshot_rate")
+_RELEASE_RATES = ("drop_release_rate", "corrupt_vector_rate")
 
 
 @dataclass(frozen=True, slots=True)
-class FaultPlan:
+class FaultPlan(SeededFaultPlan):
     """Declarative description of the faults to inject.
 
     The first three rates apply per GSP operation (query or snapshot
@@ -63,6 +59,10 @@ class FaultPlan:
     what makes timeouts interact with retry deadline budgets.
     """
 
+    RATES = _GSP_RATES + _RELEASE_RATES
+    EXCLUSIVE = (_GSP_RATES, _RELEASE_RATES)
+    NON_NEGATIVE = ("timeout_s",)
+
     transient_error_rate: float = 0.0
     timeout_rate: float = 0.0
     stale_snapshot_rate: float = 0.0
@@ -70,26 +70,9 @@ class FaultPlan:
     corrupt_vector_rate: float = 0.0
     timeout_s: float = 1.0
 
-    def __post_init__(self) -> None:
-        for name in _RATE_FIELDS:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {rate}")
-        if self.transient_error_rate + self.timeout_rate + self.stale_snapshot_rate > 1.0:
-            raise ConfigError("GSP fault rates (transient + timeout + stale) exceed 1")
-        if self.drop_release_rate + self.corrupt_vector_rate > 1.0:
-            raise ConfigError("release fault rates (drop + corrupt) exceed 1")
-        if self.timeout_s < 0:
-            raise ConfigError(f"timeout_s must be non-negative, got {self.timeout_s}")
-
-    @property
-    def any_faults(self) -> bool:
-        """Whether this plan injects anything at all."""
-        return any(getattr(self, name) > 0 for name in _RATE_FIELDS)
-
 
 @dataclass
-class FaultCounts:
+class FaultCounts(FaultTally):
     """Tally of every fault the injector actually fired."""
 
     transient_errors: int = 0
@@ -97,16 +80,6 @@ class FaultCounts:
     stale_snapshots: int = 0
     dropped_releases: int = 0
     corrupted_vectors: int = 0
-
-    @property
-    def total(self) -> int:
-        return (
-            self.transient_errors
-            + self.timeouts
-            + self.stale_snapshots
-            + self.dropped_releases
-            + self.corrupted_vectors
-        )
 
 
 @dataclass
@@ -148,31 +121,30 @@ class FaultInjector:
         Exactly one uniform is drawn regardless of the rates, so changing
         a rate never desynchronises an otherwise-identical run.
         """
-        u = float(self.rng.random())
         plan = self.plan
-        if u < plan.transient_error_rate:
+        fate = plan.pick(float(self.rng.random()), _GSP_RATES)
+        if fate == "transient_error":
             self.counts.transient_errors += 1
             raise TransientError("injected transient GSP failure")
-        if u < plan.transient_error_rate + plan.timeout_rate:
+        if fate == "timeout":
             self.counts.timeouts += 1
             if self.clock is not None:
                 self.clock.sleep(plan.timeout_s)
             raise TimeoutExceeded(
                 f"injected GSP timeout after {plan.timeout_s:.3f} s"
             )
-        if u < plan.transient_error_rate + plan.timeout_rate + plan.stale_snapshot_rate:
+        if fate == "stale_snapshot":
             self.counts.stale_snapshots += 1
             return "stale"
         return None
 
     def roll_release_fault(self) -> "str | None":
         """Decide the fate of one release in transit: None/"drop"/"corrupt"."""
-        u = float(self.rng.random())
-        plan = self.plan
-        if u < plan.drop_release_rate:
+        fate = self.plan.pick(float(self.rng.random()), _RELEASE_RATES)
+        if fate == "drop_release":
             self.counts.dropped_releases += 1
             return "drop"
-        if u < plan.drop_release_rate + plan.corrupt_vector_rate:
+        if fate == "corrupt_vector":
             self.counts.corrupted_vectors += 1
             return "corrupt"
         return None

@@ -11,7 +11,7 @@ encodes each of those invariants as a rule (PL001–PL014) over the syntax
 tree, so an aggressive refactor that silently breaks one fails in CI with a
 rule ID and a ``file:line`` instead of with a subtly wrong figure.
 
-Rules PL001–PL010 are per-file and syntactic.  PL011–PL014 are
+Rules PL001–PL005, PL007–PL010 and PL015 are per-file and syntactic.  PL011–PL014 are
 project-wide dataflow analyses (``--analysis taint,locks,commit``) built
 on a call graph over ``src/repro`` (:mod:`repro.lint.callgraph`,
 :mod:`repro.lint.dataflow`, :mod:`repro.lint.taint`): privacy-taint

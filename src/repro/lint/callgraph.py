@@ -1,6 +1,6 @@
 """Project-wide symbol index and call graph for the dataflow analyses.
 
-The per-file rules (PL001–PL010) deliberately see one module at a time;
+The per-file rules (PL001–PL010, PL015) deliberately see one module at a time;
 the dataflow families (PL011–PL014) need to know *who calls whom* across
 the whole of ``src/repro``.  This module builds that picture in two
 passes, mirroring how an import actually binds names:

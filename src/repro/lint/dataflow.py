@@ -572,7 +572,7 @@ def analyze_commit_protocol(db: FactsDB) -> list[Violation]:
                         "os.replace publishes a file that was never fsync'd; "
                         "a crash after the rename can surface a torn-but-"
                         "committed file — fsync the temp file first (or "
-                        "delegate to repro.ingest.atomic)",
+                        "delegate to repro.core.atomic)",
                     )
                 )
 

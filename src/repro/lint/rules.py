@@ -444,68 +444,6 @@ class WallClockInExperimentPath(Rule):
                 )
 
 
-_SHIMMED_ATTACKS = {
-    "repro.attacks.region.RegionAttack": "RegionAttack",
-    "repro.attacks.RegionAttack": "RegionAttack",
-    "repro.attacks.fine_grained.FineGrainedAttack": "FineGrainedAttack",
-    "repro.attacks.FineGrainedAttack": "FineGrainedAttack",
-}
-
-
-class DeprecatedPositionalShim(Rule):
-    """PL006 — no legacy `run(freq_vector, radius)` calls in first-party code."""
-
-    id = "PL006"
-    name = "deprecated-attack-shim"
-    summary = "call attacks with a Release, not the positional (freq, radius) shim"
-    rationale = (
-        "The v1 Attack API takes a frozen Release (frequency vector + "
-        "radius + optional ground truth); the positional (freq_vector, "
-        "radius) spelling was removed with its deprecation shim and now "
-        "raises TypeError at runtime. Linting catches the stale spelling "
-        "before it ships, and keeps first-party code on the Release path "
-        "that carries the metadata (true_location, timestamp) evaluation "
-        "and tracking rely on."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if ctx.is_test:
-            return
-        attack_vars: dict[str, str] = {}
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                ctor = ctx.imports.resolve(node.value.func)
-                cls = _SHIMMED_ATTACKS.get(ctor or "")
-                if cls is not None:
-                    for tgt in node.targets:
-                        if isinstance(tgt, ast.Name):
-                            attack_vars[tgt.id] = cls
-        for node in ast.walk(ctx.tree):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-                continue
-            if node.func.attr != "run":
-                continue
-            receiver = node.func.value
-            cls: str | None = None
-            if isinstance(receiver, ast.Name):
-                cls = attack_vars.get(receiver.id)
-            elif isinstance(receiver, ast.Call):
-                cls = _SHIMMED_ATTACKS.get(ctx.imports.resolve(receiver.func) or "")
-            if cls is None:
-                continue
-            legacy = len(node.args) >= 2 or any(
-                kw.arg == "radius" for kw in node.keywords
-            )
-            if legacy:
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"{cls}.run(freq_vector, radius) is the removed "
-                    "pre-v1 positional spelling; pass repro.attacks."
-                    "Release(freq_vector, radius) instead",
-                )
-
-
 #: Role keywords marking a write as crash-safety-critical: files other
 #: code resumes from or trusts (caches, checkpoints, quarantine sidecars).
 _ROLE_KEYWORDS = ("cache", "checkpoint", "quarantine")
@@ -532,14 +470,14 @@ class NonAtomicRoleWrite(Rule):
         "sidecars account for diverted records. A direct write_text/open "
         "to such a file can be interrupted half-written and then be "
         "consumed as truth. Route these writes through "
-        "repro.ingest.atomic (atomic_writer / atomic_write_text / "
+        "repro.core.atomic (atomic_writer / atomic_write_text / "
         "atomic_write_bytes) or pair them with os.replace in the same "
         "function, as runner.write_checkpoint does."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         # The atomic helpers themselves necessarily open temp files.
-        if ctx.is_test or ctx.module == "repro.ingest.atomic":
+        if ctx.is_test or ctx.module == "repro.core.atomic":
             return
         yield from self._scan(ctx, ctx.tree, fn_names=(), commits=False)
 
@@ -595,7 +533,7 @@ class NonAtomicRoleWrite(Rule):
             node,
             f"direct write to a {matched[0]}-role file; a crash here leaves "
             "a torn file that resume/integrity checks will trust — write "
-            "via repro.ingest.atomic or os.replace a temp file into place",
+            "via repro.core.atomic or os.replace a temp file into place",
         )
 
     def _write_target(self, node: ast.Call) -> "ast.expr | None":
@@ -872,7 +810,7 @@ class UnroutedDurableIO(Rule):
         "invisible to them — its commit steps are never enumerated, its "
         "ENOSPC path never exercised, and a green sweep proves nothing "
         "about it. Route durable I/O through get_vfs() (or the "
-        "repro.ingest.atomic helpers, which already do); only "
+        "repro.core.atomic helpers, which already do); only "
         "repro.core.vfs itself may touch the primitives."
     )
 
@@ -893,7 +831,7 @@ class UnroutedDurableIO(Rule):
                 f"direct {target} is invisible to the injectable fault "
                 f"layer — crash sweeps and disk-chaos plans cannot reach "
                 f"it; call get_vfs().{short}(...) (repro.core.vfs) or a "
-                "repro.ingest.atomic helper instead",
+                "repro.core.atomic helper instead",
             )
 
 
@@ -969,8 +907,9 @@ class LockDiscipline(DataflowRule):
         "call site, follows call edges to transitively-blocking work "
         "(unbounded get/wait/join, sleeps, fsync), flags same-lock "
         "reacquisition (threading.Lock self-deadlocks), and reports "
-        "cycles in the acquired-while-holding graph. Subsumes PL008's "
-        "per-line heuristic with path sensitivity."
+        "cycles in the acquired-while-holding graph. It complements "
+        "PL008, which flags an unbounded blocking call in the serve path "
+        "whether or not a lock is held."
     )
 
 
@@ -990,7 +929,7 @@ class CommitProtocol(DataflowRule):
         "a spend that power loss erases; a write to the temp path after "
         "its rename corrupts the committed file. The pass orders each "
         "function's write/flush/fsync/replace events, crediting "
-        "delegated fsyncs (repro.ingest.atomic) through the call graph."
+        "delegated fsyncs (repro.core.atomic) through the call graph."
     )
 
 
@@ -1000,7 +939,6 @@ RULES: tuple[Rule, ...] = (
     FreqDtypeDiscipline(),
     NonPicklableShardWorker(),
     WallClockInExperimentPath(),
-    DeprecatedPositionalShim(),
     NonAtomicRoleWrite(),
     UnboundedServeBlocking(),
     UnmanagedSharedMemory(),

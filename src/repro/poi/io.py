@@ -20,7 +20,7 @@ import csv
 import json
 from pathlib import Path
 
-from repro.ingest.atomic import atomic_write_text, atomic_writer
+from repro.core.atomic import atomic_write_text, atomic_writer
 from repro.ingest.loaders import POI_CSV_HEADER, ingest_poi_csv
 from repro.ingest.report import IngestReport, record_ingest_report
 from repro.poi.database import POIDatabase

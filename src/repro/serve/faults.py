@@ -1,9 +1,9 @@
 """Seeded fault injection for the serve dispatcher (chaos harness).
 
-In the style of the PR 1 LBS faults, PR 3 worker faults, and PR 5 file
-corruptor: a :class:`ServeFaultPlan` declares rates, a
-:class:`ServeFaultInjector` draws every decision from one seeded stream,
-and the same ``(seed, plan)`` always produces the same fault timeline.
+A :class:`ServeFaultPlan` declares rates, a :class:`ServeFaultInjector`
+draws every decision from one seeded stream, and the same
+``(seed, plan)`` always produces the same fault timeline (see "Seeded
+fault plans" in ``docs/robustness.md``).
 
 Fault classes and where they strike:
 
@@ -32,20 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.clock import Clock
-from repro.core.errors import ConfigError, MidCommitKillFault, WorkerCrashFault
+from repro.core.errors import MidCommitKillFault, WorkerCrashFault
+from repro.core.faults import FaultTally, SeededFaultPlan
 
 __all__ = ["ServeFaultCounts", "ServeFaultInjector", "ServeFaultPlan"]
 
-_RATE_FIELDS = (
-    "worker_crash_rate",
-    "worker_hang_rate",
-    "slow_response_rate",
-    "mid_commit_kill_rate",
-)
+_BATCH_RATES = ("worker_crash_rate", "worker_hang_rate", "slow_response_rate")
+_COMMIT_RATES = ("mid_commit_kill_rate",)
 
 
 @dataclass(frozen=True, slots=True)
-class ServeFaultPlan:
+class ServeFaultPlan(SeededFaultPlan):
     """Declarative description of the dispatcher faults to inject.
 
     The three batch-start rates (crash / hang / slow) are mutually
@@ -54,6 +51,10 @@ class ServeFaultPlan:
     reaches the commit point.
     """
 
+    RATES = _BATCH_RATES + _COMMIT_RATES
+    EXCLUSIVE = (_BATCH_RATES,)
+    NON_NEGATIVE = ("hang_s", "slow_s")
+
     worker_crash_rate: float = 0.0
     worker_hang_rate: float = 0.0
     slow_response_rate: float = 0.0
@@ -61,41 +62,15 @@ class ServeFaultPlan:
     hang_s: float = 0.2
     slow_s: float = 0.02
 
-    def __post_init__(self) -> None:
-        for name in _RATE_FIELDS:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {rate}")
-        if self.worker_crash_rate + self.worker_hang_rate + self.slow_response_rate > 1.0:
-            raise ConfigError("batch fault rates (crash + hang + slow) exceed 1")
-        if self.hang_s < 0 or self.slow_s < 0:
-            raise ConfigError("hang_s and slow_s must be non-negative")
-
-    @property
-    def any_faults(self) -> bool:
-        return any(getattr(self, name) > 0 for name in _RATE_FIELDS)
-
 
 @dataclass
-class ServeFaultCounts:
+class ServeFaultCounts(FaultTally):
     """Tally of every fault the injector actually fired."""
 
     crashes: int = 0
     hangs: int = 0
     slow_responses: int = 0
     mid_commit_kills: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.crashes + self.hangs + self.slow_responses + self.mid_commit_kills
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "crashes": self.crashes,
-            "hangs": self.hangs,
-            "slow_responses": self.slow_responses,
-            "mid_commit_kills": self.mid_commit_kills,
-        }
 
 
 class ServeFaultInjector:
@@ -119,29 +94,25 @@ class ServeFaultInjector:
     def before_batch(self) -> None:
         """Maybe crash, hang, or slow down the imminent batch attempt."""
         plan = self._plan
-        if not (
-            plan.worker_crash_rate or plan.worker_hang_rate or plan.slow_response_rate
-        ):
+        if not plan.rated(_BATCH_RATES):
             return
-        draw = float(self._rng.random())
-        if draw < plan.worker_crash_rate:
+        fate = plan.pick(float(self._rng.random()), _BATCH_RATES)
+        if fate == "worker_crash":
             self.counts.crashes += 1
             raise WorkerCrashFault("injected worker crash before batch compute")
-        draw -= plan.worker_crash_rate
-        if draw < plan.worker_hang_rate:
+        if fate == "worker_hang":
             self.counts.hangs += 1
             self._clock.sleep(plan.hang_s)
-            return
-        draw -= plan.worker_hang_rate
-        if draw < plan.slow_response_rate:
+        elif fate == "slow_response":
             self.counts.slow_responses += 1
             self._clock.sleep(plan.slow_s)
 
     def mid_commit(self) -> None:
         """Maybe kill the worker after the ledger commit, before completion."""
-        if self._plan.mid_commit_kill_rate <= 0:
+        plan = self._plan
+        if not plan.rated(_COMMIT_RATES):
             return
-        if float(self._rng.random()) < self._plan.mid_commit_kill_rate:
+        if plan.pick(float(self._rng.random()), _COMMIT_RATES) is not None:
             self.counts.mid_commit_kills += 1
             raise MidCommitKillFault(
                 "injected kill between ledger commit and job completion"

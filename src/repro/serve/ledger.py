@@ -61,6 +61,7 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
+from repro.core.atomic import atomic_write_text
 from repro.core.errors import (
     BudgetExhaustedError,
     ConfigError,
@@ -70,7 +71,6 @@ from repro.core.errors import (
 from repro.core.vfs import VFSFile, get_vfs
 from repro.dp.accountant import PrivacyAccountant
 from repro.dp.mechanisms import PrivacyParams
-from repro.ingest.atomic import atomic_write_text
 
 __all__ = ["BudgetLedger", "SNAPSHOT_NAME", "WAL_NAME", "sealed_segment_paths"]
 

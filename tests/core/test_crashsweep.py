@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core.atomic import atomic_write_text
 from repro.core.crashsweep import (
     SWEEP_MODES,
     SweepScenario,
@@ -15,7 +16,6 @@ from repro.core.crashsweep import (
 )
 from repro.core.errors import ConfigError
 from repro.core.vfs import get_vfs
-from repro.ingest.atomic import atomic_write_text
 
 PAYLOAD = {"round": 2, "value": [1, 2, 3]}
 

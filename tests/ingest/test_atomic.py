@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ingest.atomic import (
+from repro.core.atomic import (
     atomic_write_bytes,
     atomic_write_text,
     atomic_writer,

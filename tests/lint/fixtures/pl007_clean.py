@@ -3,7 +3,7 @@
 import json
 import os
 
-from repro.ingest.atomic import atomic_write_text, atomic_writer
+from repro.core.atomic import atomic_write_text, atomic_writer
 
 
 def write_checkpoint(path, payload) -> None:

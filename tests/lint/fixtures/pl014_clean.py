@@ -7,7 +7,7 @@ Lints as repro.ingest.fixture.
 import json
 import os
 
-from repro.ingest.atomic import atomic_write_bytes, atomic_write_text
+from repro.core.atomic import atomic_write_bytes, atomic_write_text
 
 
 def write_checkpoint(path, payload):

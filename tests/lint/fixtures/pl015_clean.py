@@ -8,8 +8,8 @@ Lints as repro.ingest.fixture.
 import json
 import os
 
+from repro.core.atomic import atomic_write_text
 from repro.core.vfs import get_vfs
-from repro.ingest.atomic import atomic_write_text
 
 
 def write_checkpoint(path, payload):

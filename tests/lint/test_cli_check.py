@@ -49,7 +49,7 @@ def test_github_format_emits_error_annotations(tree, capsys):
 
 
 def test_select_restricts_rules(tree):
-    assert main(["check", str(tree), "--select", "PL006"]) == 0
+    assert main(["check", str(tree), "--select", "PL007"]) == 0
     assert main(["check", str(tree), "--select", "pl001"]) == 1
 
 
@@ -66,7 +66,7 @@ def test_missing_path_is_usage_error(tmp_path, capsys):
 def test_list_rules(capsys):
     assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("PL001", "PL002", "PL003", "PL004", "PL005", "PL006", "PL007"):
+    for rule_id in ("PL001", "PL002", "PL003", "PL004", "PL005", "PL007", "PL008"):
         assert rule_id in out
 
 

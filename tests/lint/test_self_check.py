@@ -72,13 +72,6 @@ REGRESSIONS = [
         "src/repro/experiments/planted.py",
     ),
     (
-        "PL006",
-        "from repro.attacks.region import RegionAttack\n\n"
-        "def legacy(db, freq, radius):\n"
-        "    return RegionAttack(db).run(freq, radius)\n",
-        "examples/planted.py",
-    ),
-    (
         "PL007",
         "import json\n\n"
         "def write_checkpoint(path, payload):\n"
